@@ -3,6 +3,20 @@
 #include "common/check.h"
 
 namespace netlock::rt {
+namespace {
+
+RtRequest MakeRequest(RtRequest::Op op, const LockRequest& req, TxnId txn,
+                      int client) {
+  RtRequest rt;
+  rt.op = op;
+  rt.mode = req.mode;
+  rt.lock = req.lock;
+  rt.txn = txn;
+  rt.client = static_cast<std::uint16_t>(client);
+  return rt;
+}
+
+}  // namespace
 
 RtClientPool::RtClientPool(RtLockService& service,
                            ExecutionSubstrate& substrate,
@@ -64,10 +78,11 @@ void RtClientPool::Join() {
 
 void RtClientPool::RunClient(ClientThread& ct) {
   std::size_t live = 0;
+  const SimTime start = substrate_.Now();
   for (Session& s : ct.sessions) {
     s.active = true;
     ++live;
-    BeginTxn(ct, s);
+    BeginTxn(ct, s, start);
   }
   FlushStaged(ct);  // Every session's first acquire, one flush per core.
   std::vector<RtCompletion> buf(config_.poll_batch);
@@ -75,8 +90,17 @@ void RtClientPool::RunClient(ClientThread& ct) {
   while (live > 0) {
     const std::size_t n =
         service_.PollCompletions(ct.index, buf.data(), buf.size());
+    if (n == 0 && ct.in_backoff == 0) {
+      if (++idle > 64) std::this_thread::yield();
+      continue;
+    }
+    // The iteration's one clock read: it stamps every grant this poll
+    // returned and every request the iteration stages, so lock latency
+    // runs from the poll return that issued an acquire to the poll return
+    // that observed its grant.
+    const SimTime now = substrate_.Now();
     std::size_t idled = 0;
-    const std::size_t resumed = ResumeBackoffs(ct, idled);
+    const std::size_t resumed = ResumeBackoffs(ct, now, idled);
     live -= idled;
     if (n == 0 && resumed == 0) {
       if (++idle > 64) std::this_thread::yield();
@@ -84,7 +108,7 @@ void RtClientPool::RunClient(ClientThread& ct) {
     }
     idle = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (OnGrant(ct, buf[i])) --live;
+      if (OnGrant(ct, buf[i], now)) --live;
     }
     // One flush per poll iteration: everything OnGrant staged (next
     // acquires, commit releases, cancels) and every resumed session's
@@ -117,7 +141,7 @@ void RtClientPool::FlushStaged(ClientThread& ct) {
   }
 }
 
-void RtClientPool::BeginTxn(ClientThread& ct, Session& s) {
+void RtClientPool::BeginTxn(ClientThread& ct, Session& s, SimTime now) {
   s.current = s.workload->Next(s.rng);
   NETLOCK_CHECK(!s.current.locks.empty());
   // Workloads emit sorted, deduplicated lock sets (deadlock avoidance by
@@ -125,26 +149,22 @@ void RtClientPool::BeginTxn(ClientThread& ct, Session& s) {
   // re-normalization is needed here.
   s.txn = (static_cast<TxnId>(s.engine_id) << 40) | ++s.counter;
   s.next_lock = 0;
-  s.txn_start = substrate_.Now();
-  SubmitAcquire(ct, s);
+  s.txn_start = now;
+  SubmitAcquire(ct, s, now);
 }
 
-void RtClientPool::SubmitAcquire(ClientThread& ct, Session& s) {
+void RtClientPool::SubmitAcquire(ClientThread& ct, Session& s, SimTime now) {
   const LockRequest& req = s.current.locks[s.next_lock];
-  s.lock_issue = substrate_.Now();
+  s.lock_issue = now;
   if (recording_.load(std::memory_order_acquire)) {
     ++ct.metrics.lock_requests;
   }
-  RtRequest rt;
-  rt.op = RtRequest::Op::kAcquire;
-  rt.mode = req.mode;
-  rt.lock = req.lock;
-  rt.txn = s.txn;
-  rt.client = static_cast<std::uint32_t>(ct.index);
-  EnqueueRequest(ct, rt);
+  EnqueueRequest(ct, MakeRequest(RtRequest::Op::kAcquire, req, s.txn,
+                                 ct.index));
 }
 
-bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp) {
+bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp,
+                           SimTime now) {
   const int global = static_cast<int>(comp.txn >> 40) - 1;
   const int local = global - ct.first_session;
   NETLOCK_CHECK(local >= 0 &&
@@ -157,53 +177,40 @@ bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp) {
     return false;
   }
   if (comp.status == RtCompletion::Status::kAborted) {
-    OnAbort(ct, s, comp);
+    OnAbort(ct, s, comp, now);
     return false;
   }
   NETLOCK_CHECK(s.next_lock < s.current.locks.size());
   NETLOCK_CHECK(comp.lock == s.current.locks[s.next_lock].lock);
   const bool rec = recording_.load(std::memory_order_acquire);
-  if (rec || config_.telemetry) {
-    // One clock read feeds both the windowed RunMetrics recorder and the
-    // always-on sharded histogram.
-    const SimTime now = substrate_.Now();
-    if (config_.telemetry) {
-      domain_.Record(ct.index, h_lock_latency_, now - s.lock_issue);
-    }
-    if (rec) {
-      ++ct.metrics.lock_grants;
-      ct.metrics.lock_latency.Record(now - s.lock_issue);
-    }
+  if (config_.telemetry) {
+    domain_.Record(ct.index, h_lock_latency_, now - s.lock_issue);
+  }
+  if (rec) {
+    ++ct.metrics.lock_grants;
+    ct.metrics.lock_latency.Record(now - s.lock_issue);
   }
   ++s.next_lock;
   if (s.next_lock < s.current.locks.size()) {
-    SubmitAcquire(ct, s);
+    SubmitAcquire(ct, s, now);
     return false;
   }
   // All locks held: commit and release (no think time — the rt backend
   // measures the lock service, not a database).
   for (const LockRequest& req : s.current.locks) {
-    RtRequest rt;
-    rt.op = RtRequest::Op::kRelease;
-    rt.mode = req.mode;
-    rt.lock = req.lock;
-    rt.txn = s.txn;
-    rt.client = static_cast<std::uint32_t>(ct.index);
-    EnqueueRequest(ct, rt);
+    EnqueueRequest(ct, MakeRequest(RtRequest::Op::kRelease, req, s.txn,
+                                   ct.index));
   }
   ++ct.commits;
   ++s.committed;
   ct.committed_lock_grants += s.current.locks.size();
-  if (rec || config_.telemetry) {
-    const SimTime now = substrate_.Now();
-    if (config_.telemetry) {
-      domain_.Inc(ct.index, c_commits_);
-      domain_.Record(ct.index, h_txn_latency_, now - s.txn_start);
-    }
-    if (rec) {
-      ++ct.metrics.txn_commits;
-      ct.metrics.txn_latency.Record(now - s.txn_start);
-    }
+  if (config_.telemetry) {
+    domain_.Inc(ct.index, c_commits_);
+    domain_.Record(ct.index, h_txn_latency_, now - s.txn_start);
+  }
+  if (rec) {
+    ++ct.metrics.txn_commits;
+    ct.metrics.txn_latency.Record(now - s.txn_start);
   }
   const bool budget_done = config_.txns_per_session != 0 &&
                            s.committed >= config_.txns_per_session;
@@ -211,12 +218,12 @@ bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp) {
     s.active = false;
     return true;
   }
-  BeginTxn(ct, s);
+  BeginTxn(ct, s, now);
   return false;
 }
 
 void RtClientPool::OnAbort(ClientThread& ct, Session& s,
-                           const RtCompletion& comp) {
+                           const RtCompletion& comp, SimTime now) {
   ++ct.aborts;
   if (recording_.load(std::memory_order_acquire)) ++ct.metrics.retries;
   // Was the aborted entry our still-pending acquire (die / wound of a
@@ -232,13 +239,8 @@ void RtClientPool::OnAbort(ClientThread& ct, Session& s,
   for (std::size_t i = 0; i < s.next_lock; ++i) {
     const LockRequest& req = s.current.locks[i];
     if (!pending && req.lock == comp.lock) continue;
-    RtRequest rt;
-    rt.op = RtRequest::Op::kRelease;
-    rt.mode = req.mode;
-    rt.lock = req.lock;
-    rt.txn = s.txn;
-    rt.client = static_cast<std::uint32_t>(ct.index);
-    EnqueueRequest(ct, rt);
+    EnqueueRequest(ct, MakeRequest(RtRequest::Op::kRelease, req, s.txn,
+                                   ct.index));
   }
   // A wound with an acquire still in flight: that acquire can no longer be
   // answered usefully — tell the manager to drop whatever entry it creates
@@ -246,34 +248,23 @@ void RtClientPool::OnAbort(ClientThread& ct, Session& s,
   // queue. Submitted through the same mailbox as the acquire, so it is
   // processed after it.
   if (!pending && s.next_lock < s.current.locks.size()) {
-    const LockRequest& req = s.current.locks[s.next_lock];
-    RtRequest rt;
-    rt.op = RtRequest::Op::kCancel;
-    rt.mode = req.mode;
-    rt.lock = req.lock;
-    rt.txn = s.txn;
-    rt.client = static_cast<std::uint32_t>(ct.index);
-    EnqueueRequest(ct, rt);
+    EnqueueRequest(ct, MakeRequest(RtRequest::Op::kCancel,
+                                   s.current.locks[s.next_lock], s.txn,
+                                   ct.index));
   }
   s.backoff = true;
-  s.retry_at = substrate_.Now() + config_.abort_backoff;
+  ++ct.in_backoff;
+  s.retry_at = now + config_.abort_backoff;
 }
 
-std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct,
+std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct, SimTime now,
                                          std::size_t& idled) {
-  bool any = false;
-  for (const Session& s : ct.sessions) {
-    if (s.backoff) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return 0;
+  if (ct.in_backoff == 0) return 0;
   std::size_t resumed = 0;
-  const SimTime now = substrate_.Now();
   for (Session& s : ct.sessions) {
     if (!s.backoff || now < s.retry_at) continue;
     s.backoff = false;
+    --ct.in_backoff;
     if (stop_.load(std::memory_order_acquire)) {
       s.active = false;
       ++idled;
@@ -284,7 +275,7 @@ std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct,
     s.txn = (static_cast<TxnId>(s.engine_id) << 40) | ++s.counter;
     s.next_lock = 0;
     s.txn_start = now;
-    SubmitAcquire(ct, s);
+    SubmitAcquire(ct, s, now);
     ++resumed;
   }
   return resumed;

@@ -146,26 +146,31 @@ class RtClientPool {
     /// Sum of committed transactions' lock-set sizes (timing-independent
     /// on fixed-count runs; the cross-backend tests compare it exactly).
     std::uint64_t committed_lock_grants = 0;
+    std::size_t in_backoff = 0;  ///< Sessions waiting out an abort backoff.
     std::thread thread;
   };
 
+  // Time contract: RunClient reads the clock once per poll iteration that
+  // has work and passes that `now` down; nothing below it reads the clock.
   void RunClient(ClientThread& ct);
-  void BeginTxn(ClientThread& ct, Session& s);
-  void SubmitAcquire(ClientThread& ct, Session& s);
+  void BeginTxn(ClientThread& ct, Session& s, SimTime now);
+  void SubmitAcquire(ClientThread& ct, Session& s, SimTime now);
   /// Routes a request to the wire: staged per core (batch_submit) or a
   /// direct Submit.
   void EnqueueRequest(ClientThread& ct, const RtRequest& rt);
   /// Flushes every nonempty per-core staging buffer with SubmitBatch.
   void FlushStaged(ClientThread& ct);
   /// Returns true when the session went idle (txn budget / stop flag).
-  bool OnGrant(ClientThread& ct, const RtCompletion& comp);
+  bool OnGrant(ClientThread& ct, const RtCompletion& comp, SimTime now);
   /// Policy abort for a session's current txn: release survivors, cancel
   /// the in-flight acquire if any, enter backoff.
-  void OnAbort(ClientThread& ct, Session& s, const RtCompletion& comp);
+  void OnAbort(ClientThread& ct, Session& s, const RtCompletion& comp,
+               SimTime now);
   /// Restarts sessions whose backoff expired (fresh txn id, same spec);
   /// sessions resumed after StopIssuing go idle and bump `idled` instead.
   /// Returns the number resumed.
-  std::size_t ResumeBackoffs(ClientThread& ct, std::size_t& idled);
+  std::size_t ResumeBackoffs(ClientThread& ct, SimTime now,
+                             std::size_t& idled);
 
   RtLockService& service_;
   ExecutionSubstrate& substrate_;

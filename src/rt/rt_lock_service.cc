@@ -11,6 +11,7 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
     : options_(options), substrate_(substrate), domain_(options.cores) {
   NETLOCK_CHECK(options_.cores >= 1);
   NETLOCK_CHECK(options_.num_clients >= 1);
+  NETLOCK_CHECK(options_.num_clients <= 65535);  // RtRequest::client width.
   publish_context_ =
       options_.context != nullptr ? options_.context : &SimContext::Default();
 
@@ -76,6 +77,10 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
     }
     staging_.push_back(std::move(staging));
   }
+  overflow_.reserve(static_cast<std::size_t>(options_.num_clients));
+  for (int cl = 0; cl < options_.num_clients; ++cl) {
+    overflow_.push_back(std::make_unique<ClientOverflow>());
+  }
 
   RtExecutor::Options exec;
   exec.num_workers = options_.cores;
@@ -121,6 +126,9 @@ void RtLockService::Submit(int client, const RtRequest& req) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   int spins = 0;
   while (!ring.TryPush(req)) {
+    // The owning core may itself be stuck flushing into our full
+    // completion ring; take those completions off its hands.
+    SpillCompletions(client);
     // A full ring means the owning core fell behind (or missed a doorbell
     // and parked); a rescue wake restores liveness, but only after some
     // spinning so the common full-ring blip stays doorbell-free.
@@ -146,6 +154,7 @@ void RtLockService::SubmitBatch(int client, int core, const RtRequest* reqs,
   while (pushed < n) {
     const std::size_t k = ring.PushBatch(reqs + pushed, n - pushed);
     if (k == 0) {
+      SpillCompletions(client);
       if (++spins > 64) {
         executor_->WakeWorker(core);
         std::this_thread::yield();
@@ -162,12 +171,33 @@ void RtLockService::SubmitBatch(int client, int core, const RtRequest* reqs,
 std::size_t RtLockService::PollCompletions(int client, RtCompletion* out,
                                            std::size_t max) {
   std::size_t n = 0;
+  ClientOverflow& spilled = *overflow_[static_cast<std::size_t>(client)];
+  if (spilled.head < spilled.items.size()) {
+    n = std::min(max, spilled.items.size() - spilled.head);
+    std::copy_n(spilled.items.data() + spilled.head, n, out);
+    spilled.head += n;
+    if (spilled.head < spilled.items.size()) return n;
+    spilled.items.clear();  // Keeps capacity: no steady-state allocation.
+    spilled.head = 0;
+  }
   auto& rings = comp_rings_[static_cast<std::size_t>(client)];
   for (auto& ring : rings) {
     if (n >= max) break;
     n += ring->PopBatch(out + n, max - n);
   }
   return n;
+}
+
+void RtLockService::SpillCompletions(int client) {
+  std::vector<RtCompletion>& items =
+      overflow_[static_cast<std::size_t>(client)]->items;
+  RtCompletion chunk[64];
+  for (auto& ring : comp_rings_[static_cast<std::size_t>(client)]) {
+    std::size_t k;
+    while ((k = ring->PopBatch(chunk, 64)) != 0) {
+      items.insert(items.end(), chunk, chunk + k);
+    }
+  }
 }
 
 void RtLockService::WaitQuiesce() {
@@ -192,13 +222,22 @@ bool RtLockService::ServiceCore(int core) {
   RtRequest* buf = drain_buf_->region(static_cast<std::size_t>(core));
   bool any = false;
   std::size_t processed = 0;
-  for (auto& ring : req_rings_[static_cast<std::size_t>(core)]) {
-    const std::size_t n = ring->PopBatch(buf, options_.drain_batch);
+  auto& mailboxes = req_rings_[static_cast<std::size_t>(core)];
+  for (std::size_t client = 0; client < mailboxes.size(); ++client) {
+    const std::size_t n =
+        mailboxes[client]->PopBatch(buf, options_.drain_batch);
     if (n == 0) continue;
     any = true;
     domain_.Inc(core, c_batches_);
     domain_.GaugeSet(core, g_batch_, n);  // hwm tracks the largest drain.
-    for (std::size_t i = 0; i < n; ++i) Process(core, c, buf[i]);
+    // One clock read per batch: every request of the drain (and every
+    // grant or abort its cascades emit) is stamped with the same time,
+    // skewed by at most one drain_batch of engine work.
+    const SimTime now = substrate_.Now();
+    c.sink.now = now;
+    for (std::size_t i = 0; i < n; ++i) {
+      Process(core, c, buf[i], static_cast<std::uint16_t>(client), now);
+    }
     processed += n;
   }
   // Flush staged grants before acknowledging the requests as processed, so
@@ -215,8 +254,12 @@ bool RtLockService::ServiceCore(int core) {
   return any;
 }
 
-void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
-  const SimTime now = substrate_.Now();
+void RtLockService::Process(int core_idx, Core& core, const RtRequest& req,
+                            std::uint16_t client, SimTime now) {
+  // Completions route by the mailbox the request arrived on; a request
+  // claiming another client would otherwise send grants into that
+  // client's ring.
+  NETLOCK_CHECK(req.client == client);
   if (req.op == RtRequest::Op::kAcquire) {
     domain_.Inc(core_idx, c_requests_);
     if (recorder_ != nullptr) {
@@ -227,7 +270,7 @@ void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
     QueueSlot slot;
     slot.mode = req.mode;
     slot.txn_id = req.txn;
-    slot.client_node = req.client;  // Client-thread index, not a NodeId.
+    slot.client_node = client;  // Client-thread index, not a NodeId.
     core.engine->Acquire(req.lock, slot, now);
     return;
   }
@@ -329,7 +372,6 @@ void RtLockService::Core::Sink::DeliverGrant(LockId lock,
   comp.lock = lock;
   comp.mode = slot.mode;
   comp.txn = slot.txn_id;
-  comp.granted_at = slot.timestamp;
   svc.DeliverCompletion(core, comp,
                         static_cast<std::uint32_t>(slot.client_node));
 }
@@ -343,7 +385,7 @@ void RtLockService::Core::Sink::DeliverAbort(LockId lock,
                                                       : svc.c_aborts_);
   if (svc.recorder_ != nullptr) {
     svc.recorder_->Record(core, FlightRecorder::Op::kAbort, lock, slot.mode,
-                          slot.txn_id, svc.substrate_.Now(),
+                          slot.txn_id, now,
                           static_cast<std::uint32_t>(slot.client_node));
   }
   // Fired before the wound's cascade grants (engine contract), so the

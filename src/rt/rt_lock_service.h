@@ -37,6 +37,8 @@
 
 namespace netlock::rt {
 
+/// Ring records are 16 bytes, so four share a cache line on both the
+/// request and the completion rings.
 struct RtRequest {
   enum class Op : std::uint8_t {
     kAcquire = 0,
@@ -48,24 +50,27 @@ struct RtRequest {
   };
   Op op = Op::kAcquire;
   LockMode mode = LockMode::kExclusive;
+  /// Client-thread index; must match the mailbox the request is submitted
+  /// through (the worker routes completions by mailbox and checks this).
+  std::uint16_t client = 0;
   LockId lock = kInvalidLock;
   TxnId txn = kInvalidTxn;
-  std::uint32_t client = 0;  ///< Client-thread index; grants return there.
 };
+static_assert(sizeof(RtRequest) == 16, "RtRequest must stay 16 bytes");
 
 struct RtCompletion {
   enum class Status : std::uint8_t {
     kGranted = 0,
     kAborted = 1,  ///< Deadlock policy refused or revoked the entry.
   };
+  TxnId txn = kInvalidTxn;
   LockId lock = kInvalidLock;
   LockMode mode = LockMode::kExclusive;
-  TxnId txn = kInvalidTxn;
-  SimTime granted_at = 0;  ///< Substrate time the grant was issued.
   Status status = Status::kGranted;
   /// Valid when status == kAborted: why (no-wait / wait-die / wound).
   AbortReason reason = AbortReason::kNoWait;
 };
+static_assert(sizeof(RtCompletion) == 16, "RtCompletion must stay 16 bytes");
 
 /// Engine-level event, recorded per core and merged by sequence number —
 /// a linearization of the real-time grant stream that the single-threaded
@@ -90,7 +95,9 @@ class RtLockService {
  public:
   struct Options {
     int cores = 2;
-    int num_clients = 1;  ///< Client threads that will call Submit/Poll.
+    /// Client threads that will call Submit/Poll (at most 65535: the
+    /// client index travels in RtRequest's 16-bit field).
+    int num_clients = 1;
     std::size_t ring_capacity = 8192;
     /// Max requests drained from one mailbox per visit.
     std::size_t drain_batch = 64;
@@ -157,19 +164,26 @@ class RtLockService {
   /// RSS hash, identical to the simulated LockServer's core dispatch.
   int CoreFor(LockId lock) const;
 
-  /// Called only from client thread `client`. Spin-waits (with yields) if
-  /// the target mailbox is full — backpressure, never loss. Rings at most
+  /// Called only from client thread `client`, with req.client == client.
+  /// Spin-waits (with yields) if the target mailbox is full — backpressure,
+  /// never loss. While it waits it moves this client's completions into a
+  /// client-owned overflow buffer, so a worker blocked flushing into this
+  /// client's full completion ring can finish its drain and free mailbox
+  /// space (otherwise the two spin on each other forever). Rings at most
   /// one doorbell per push, and only at the worker owning the lock's core.
   void Submit(int client, const RtRequest& req);
 
   /// Batched submit: pushes `n` requests — all of which must hash to
   /// `core` (i.e. CoreFor(req.lock) == core) — into that core's mailbox
   /// with one release-store per PushBatch and a single doorbell for the
-  /// whole flush. Called only from client thread `client`.
+  /// whole flush. Called only from client thread `client`; waits on a full
+  /// mailbox the same way Submit does.
   void SubmitBatch(int client, int core, const RtRequest* reqs,
                    std::size_t n);
 
   /// Called only from client thread `client`; pops up to `max` grants.
+  /// Completions a full-mailbox Submit moved aside come first, so every
+  /// (core, client) stream stays FIFO.
   std::size_t PollCompletions(int client, RtCompletion* out,
                               std::size_t max);
 
@@ -217,6 +231,8 @@ class RtLockService {
                         AbortReason reason) override;
       RtLockService* service = nullptr;
       int core = 0;
+      /// Time of the mailbox batch being processed (set by ServiceCore).
+      SimTime now = 0;
     };
     Sink sink;
     std::unique_ptr<LockEngine> engine;
@@ -230,11 +246,24 @@ class RtLockService {
     std::vector<std::vector<RtCompletion>> per_client;
   };
 
+  /// Completions a client moved out of its rings while waiting on a full
+  /// mailbox; PollCompletions returns them before reading the rings.
+  /// Touched only by that client's thread.
+  struct alignas(64) ClientOverflow {
+    std::vector<RtCompletion> items;
+    std::size_t head = 0;  ///< Next item PollCompletions returns.
+  };
+
   bool ServiceCore(int core);
+  /// Full-mailbox wait step for Submit/SubmitBatch: moves every completion
+  /// waiting in `client`'s rings into its overflow buffer.
+  void SpillCompletions(int client);
   /// Pushes core's staged completions into the client rings (PushBatch,
   /// spin-with-yield on full — backpressure outside the engine cascade).
   void FlushStaged(int core);
-  void Process(int core_idx, Core& core, const RtRequest& req);
+  /// Runs one request drained from `client`'s mailbox at batch time `now`.
+  void Process(int core_idx, Core& core, const RtRequest& req,
+               std::uint16_t client, SimTime now);
   /// Routes one completion (grant or abort) to its client's ring: staged
   /// in batch_submit mode, direct push with backpressure otherwise.
   void DeliverCompletion(int core, const RtCompletion& comp,
@@ -256,6 +285,7 @@ class RtLockService {
   /// line (adjacent regions used to share the boundary line).
   std::unique_ptr<AlignedRegions<RtRequest>> drain_buf_;
   std::vector<std::unique_ptr<CoreStaging>> staging_;  ///< One per core.
+  std::vector<std::unique_ptr<ClientOverflow>> overflow_;  ///< Per client.
   std::unique_ptr<RtExecutor> executor_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> processed_{0};
