@@ -67,7 +67,20 @@ std::vector<FlightRecorder::Event> FlightRecorder::Snapshot() const {
     const std::uint64_t first =
         next > capacity_ ? next - capacity_ : 0;
     for (std::uint64_t seq = first; seq < next; ++seq) {
-      out.push_back(ring->slots[seq & ring->mask]);
+      const Event& slot = ring->slots[seq & ring->mask];
+      Event ev;
+      ev.seq = Load(slot.seq);
+      // A writer lapped the reader and reused this slot: it no longer
+      // holds event `seq`.
+      if (ev.seq != seq) continue;
+      ev.ts = Load(slot.ts);
+      ev.lock = Load(slot.lock);
+      ev.txn = Load(slot.txn);
+      ev.client = Load(slot.client);
+      ev.shard = Load(slot.shard);
+      ev.op = Load(slot.op);
+      ev.mode = Load(slot.mode);
+      out.push_back(ev);
     }
   }
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {

@@ -14,10 +14,12 @@
 // either, and ParseText() loads the text form back for tooling and tests.
 //
 // Concurrency contract: one writer thread per shard (shard = worker core).
-// Snapshot/dump may run concurrently with writers — an in-flight slot can
-// surface torn (wrong ts/op for its seq), which is acceptable for a crash
-// artifact; quiesced dumps (the oracle-violation path, after Stop()) are
-// exact.
+// Snapshot/dump may run concurrently with writers: slot fields are written
+// and read as relaxed atomics, so there is no data race, and Snapshot drops
+// a slot whose stored seq shows it was overwritten while being read. A
+// slot caught mid-write can still surface torn (wrong ts/op for its seq),
+// which is acceptable for a crash artifact; quiesced dumps (the
+// oracle-violation path, after Stop()) are exact.
 #pragma once
 
 #include <atomic>
@@ -76,14 +78,17 @@ class FlightRecorder {
     Ring& ring = *rings_[static_cast<std::size_t>(shard)];
     const std::uint64_t seq = ring.next.load(std::memory_order_relaxed);
     Event& slot = ring.slots[seq & ring.mask];
-    slot.ts = ts;
-    slot.seq = seq;
-    slot.lock = lock;
-    slot.txn = txn;
-    slot.client = client;
-    slot.shard = static_cast<std::uint16_t>(shard);
-    slot.op = op;
-    slot.mode = mode;
+    // Relaxed atomic stores (plain moves on x86): a concurrent Snapshot
+    // may read a slot while it is being overwritten, and its seq check
+    // drops such a slot instead of racing on it.
+    Store(slot.seq, seq);
+    Store(slot.ts, ts);
+    Store(slot.lock, lock);
+    Store(slot.txn, txn);
+    Store(slot.client, client);
+    Store(slot.shard, static_cast<std::uint16_t>(shard));
+    Store(slot.op, op);
+    Store(slot.mode, mode);
     // Publish after the slot is fully written: a concurrent Snapshot that
     // acquires `next` sees complete slots for every index below it.
     ring.next.store(seq + 1, std::memory_order_release);
@@ -129,6 +134,16 @@ class FlightRecorder {
   static void FatalDumpNow();
 
  private:
+  template <typename T>
+  static void Store(T& field, T value) {
+    std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+  }
+  template <typename T>
+  static T Load(const T& field) {
+    return std::atomic_ref<T>(const_cast<T&>(field))
+        .load(std::memory_order_relaxed);
+  }
+
   struct alignas(64) Ring {
     explicit Ring(std::size_t cap) : slots(cap), mask(cap - 1) {}
     std::vector<Event> slots;

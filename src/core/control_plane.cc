@@ -6,6 +6,13 @@
 
 namespace netlock {
 
+void PollUntilDone(Simulator& sim, SimTime interval,
+                   std::function<bool()> step) {
+  sim.Schedule(interval, [&sim, interval, step = std::move(step)]() mutable {
+    if (!step()) PollUntilDone(sim, interval, std::move(step));
+  });
+}
+
 ControlPlane::ControlPlane(Simulator& sim, LockSwitch& lock_switch,
                            std::vector<LockServer*> servers,
                            ControlPlaneConfig config)
@@ -173,22 +180,19 @@ void ControlPlane::MoveLockToServer(LockId lock, std::function<void()> done) {
   // §4.3: pause enqueuing (new requests buffer in q2 at the home server),
   // wait until the switch queue drains, then hand ownership to the server.
   switch_.PauseLock(lock, true);
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, lock, done = std::move(done), poll]() {
+  PollUntilDone(sim_, config_.drain_poll_interval,
+                [this, lock, done = std::move(done)]() {
     // A switch restart mid-drain wipes the entry (and its queue with it);
     // converge by completing the handoff rather than polling a ghost.
     if (switch_.IsInstalled(lock)) {
-      if (!switch_.QueueEmpty(lock)) {
-        sim_.Schedule(config_.drain_poll_interval, *poll);
-        return;
-      }
+      if (!switch_.QueueEmpty(lock)) return false;
       switch_.RemoveLock(lock);
     }
     ServerObjFor(lock).TakeOwnership(lock);
     CommitSwitchRemoval(lock);
     if (done) done();
-  };
-  sim_.Schedule(config_.drain_poll_interval, *poll);
+    return true;
+  });
 }
 
 void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
@@ -198,12 +202,9 @@ void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
   // Pause the server's queue: new requests buffer server-side; existing
   // holders drain via releases.
   server.PauseLock(lock, true);
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, lock, slots, &server, done = std::move(done), poll]() {
-    if (!server.QueueEmpty(lock)) {
-      sim_.Schedule(config_.drain_poll_interval, *poll);
-      return;
-    }
+  PollUntilDone(sim_, config_.drain_poll_interval,
+                [this, lock, slots, &server, done = std::move(done)]() {
+    if (!server.QueueEmpty(lock)) return false;
     const bool installed =
         !switch_.IsInstalled(lock) &&
         switch_.InstallLock(lock, server.node(), slots);
@@ -223,8 +224,8 @@ void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
       CommitSwitchRemoval(lock);
     }
     if (done) done(installed);
-  };
-  sim_.Schedule(config_.drain_poll_interval, *poll);
+    return true;
+  });
 }
 
 std::vector<LockDemand> ControlPlane::CombinedDemands() {

@@ -28,6 +28,12 @@ struct ControlPlaneConfig {
   SimTime drain_poll_interval = 100 * kMicrosecond;
 };
 
+/// Runs `step` every `interval` of simulated time, first one interval from
+/// now, until it returns true. The pending event is the poll's only owner,
+/// so the closure is freed once the last run finishes.
+void PollUntilDone(Simulator& sim, SimTime interval,
+                   std::function<bool()> step);
+
 class ControlPlane {
  public:
   ControlPlane(Simulator& sim, LockSwitch& lock_switch,

@@ -41,6 +41,9 @@ RtClientPool::RtClientPool(RtLockService& service,
     ct->first_session = c * config_.sessions_per_client;
     ct->sessions.resize(
         static_cast<std::size_t>(config_.sessions_per_client));
+    ct->to_begin.reserve(ct->sessions.size());
+    ct->backoff_rng.Seed(config_.seed * 0x9e3779b97f4a7c15ull +
+                         static_cast<std::uint64_t>(c));
     for (int s = 0; s < config_.sessions_per_client; ++s) {
       Session& sess = ct->sessions[static_cast<std::size_t>(s)];
       const int global = ct->first_session + s;
@@ -110,9 +113,16 @@ void RtClientPool::RunClient(ClientThread& ct) {
     for (std::size_t i = 0; i < n; ++i) {
       if (OnGrant(ct, buf[i], now)) --live;
     }
-    // One flush per poll iteration: everything OnGrant staged (next
-    // acquires, commit releases, cancels) and every resumed session's
-    // first acquire goes out in per-core batches.
+    // Critical path first: the next-lock acquires and commit releases the
+    // grants staged (plus resumed sessions' first acquires) leave now —
+    // a released hot lock reaches its next waiter without waiting for new
+    // transactions to be generated.
+    FlushStaged(ct);
+    if (ct.to_begin.empty()) continue;
+    // Then the sessions that committed this iteration start their next
+    // transaction, and its first acquires go out in a second flush.
+    for (Session* s : ct.to_begin) BeginTxn(ct, *s, now);
+    ct.to_begin.clear();
     FlushStaged(ct);
   }
   // The OnGrant that idled the last session staged its final releases
@@ -171,9 +181,10 @@ bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp,
                 local < static_cast<int>(ct.sessions.size()));
   Session& s = ct.sessions[static_cast<std::size_t>(local)];
   if (comp.txn != s.txn || !s.active || s.backoff) {
-    // Stale: a completion for a transaction the session already aborted.
-    // Any stale *grant*'s queue entry was covered by the abort's kCancel
-    // (or removed by the wound itself), so dropping it leaks nothing.
+    // Stale: a completion for a transaction the session already aborted
+    // or committed (a wound that crossed the commit's releases). Any stale
+    // *grant*'s queue entry was covered by the abort's kCancel (or removed
+    // by the wound itself), so dropping it leaks nothing.
     return false;
   }
   if (comp.status == RtCompletion::Status::kAborted) {
@@ -218,7 +229,11 @@ bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp,
     s.active = false;
     return true;
   }
-  BeginTxn(ct, s, now);
+  // The next transaction begins after this iteration's flush. Until then
+  // no txn id is current, so a completion for the committed one (a wound
+  // later in this poll batch) is dropped as stale, not run as an abort.
+  s.txn = kInvalidTxn;
+  ct.to_begin.push_back(&s);
   return false;
 }
 
@@ -254,7 +269,12 @@ void RtClientPool::OnAbort(ClientThread& ct, Session& s,
   }
   s.backoff = true;
   ++ct.in_backoff;
-  s.retry_at = now + config_.abort_backoff;
+  // Jittered over [backoff/2, 3*backoff/2]: sessions of one thread that
+  // abort in the same poll batch would otherwise resume in lockstep, and
+  // two of them crossing lock orders under no-wait refuse each other on
+  // every retry, forever.
+  s.retry_at = now + config_.abort_backoff / 2 +
+               ct.backoff_rng.NextInRange(0, config_.abort_backoff);
 }
 
 std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct, SimTime now,

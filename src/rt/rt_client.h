@@ -45,8 +45,9 @@ struct RtClientConfig {
   /// poller and netlock_top read. Off for `--telemetry=off` overhead runs;
   /// the RunMetrics recorders (measurement window only) are unaffected.
   bool telemetry = true;
-  /// Wall-clock backoff before a policy-aborted transaction retries (same
-  /// spec, fresh — younger — txn id).
+  /// Mean wall-clock backoff before a policy-aborted transaction retries
+  /// (same spec, fresh — younger — txn id); each wait is drawn uniformly
+  /// from [abort_backoff/2, 3*abort_backoff/2].
   SimTime abort_backoff = 100 * kMicrosecond;
 };
 
@@ -147,11 +148,19 @@ class RtClientPool {
     /// on fixed-count runs; the cross-backend tests compare it exactly).
     std::uint64_t committed_lock_grants = 0;
     std::size_t in_backoff = 0;  ///< Sessions waiting out an abort backoff.
+    /// Draws abort-backoff jitter. Separate from the sessions' workload
+    /// Rngs, whose streams must match the simulated backend's.
+    Rng backoff_rng{1};
+    /// Sessions that committed this poll iteration; they begin their next
+    /// transaction after the iteration's first flush.
+    std::vector<Session*> to_begin;
     std::thread thread;
   };
 
   // Time contract: RunClient reads the clock once per poll iteration that
   // has work and passes that `now` down; nothing below it reads the clock.
+  // Iteration order: poll -> grants (stage next acquires and commit
+  // releases) -> flush -> begin the sessions that committed -> flush.
   void RunClient(ClientThread& ct);
   void BeginTxn(ClientThread& ct, Session& s, SimTime now);
   void SubmitAcquire(ClientThread& ct, Session& s, SimTime now);
@@ -160,7 +169,8 @@ class RtClientPool {
   void EnqueueRequest(ClientThread& ct, const RtRequest& rt);
   /// Flushes every nonempty per-core staging buffer with SubmitBatch.
   void FlushStaged(ClientThread& ct);
-  /// Returns true when the session went idle (txn budget / stop flag).
+  /// Returns true when the session went idle (txn budget / stop flag). A
+  /// commit that keeps the session live queues it on ct.to_begin.
   bool OnGrant(ClientThread& ct, const RtCompletion& comp, SimTime now);
   /// Policy abort for a session's current txn: release survivors, cancel
   /// the in-flight acquire if any, enter backoff.

@@ -77,6 +77,10 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
     }
     staging_.push_back(std::move(staging));
   }
+  submitted_ = std::make_unique<QuiesceCounter[]>(
+      static_cast<std::size_t>(options_.num_clients));
+  processed_ = std::make_unique<QuiesceCounter[]>(
+      static_cast<std::size_t>(options_.cores));
   overflow_.reserve(static_cast<std::size_t>(options_.num_clients));
   for (int cl = 0; cl < options_.num_clients; ++cl) {
     overflow_.push_back(std::make_unique<ClientOverflow>());
@@ -123,7 +127,8 @@ void RtLockService::Submit(int client, const RtRequest& req) {
                  [static_cast<std::size_t>(client)];
   // Count before the push: a worker may process the request the instant it
   // lands, and WaitQuiesce must never observe processed > submitted.
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_[static_cast<std::size_t>(client)].Add(
+      1, std::memory_order_relaxed);
   int spins = 0;
   while (!ring.TryPush(req)) {
     // The owning core may itself be stuck flushing into our full
@@ -148,7 +153,8 @@ void RtLockService::SubmitBatch(int client, int core, const RtRequest* reqs,
   SpscRing<RtRequest>& ring =
       *req_rings_[static_cast<std::size_t>(core)]
                  [static_cast<std::size_t>(client)];
-  submitted_.fetch_add(n, std::memory_order_relaxed);
+  submitted_[static_cast<std::size_t>(client)].Add(
+      n, std::memory_order_relaxed);
   std::size_t pushed = 0;
   int spins = 0;
   while (pushed < n) {
@@ -201,11 +207,20 @@ void RtLockService::SpillCompletions(int client) {
 }
 
 void RtLockService::WaitQuiesce() {
-  int spins = 0;
-  while (processed_.load(std::memory_order_acquire) <
-         submitted_.load(std::memory_order_acquire)) {
+  const auto sum = [](const QuiesceCounter* counters, int n) {
+    std::uint64_t total = 0;
+    for (int i = 0; i < n; ++i) {
+      total += counters[i].value.load(std::memory_order_acquire);
+    }
+    return total;
+  };
+  for (int spins = 0;; ++spins) {
+    // Processed first: every request a worker counted was counted as
+    // submitted before its push, so this sum can only trail the next one.
+    const std::uint64_t processed = sum(processed_.get(), options_.cores);
+    if (processed >= sum(submitted_.get(), options_.num_clients)) return;
     executor_->Wake();
-    if (++spins > 64) std::this_thread::yield();
+    if (spins >= 64) std::this_thread::yield();
   }
 }
 
@@ -244,7 +259,8 @@ bool RtLockService::ServiceCore(int core) {
   // WaitQuiesce implies every completion is visible in its client ring.
   if (options_.batch_submit && any) FlushStaged(core);
   if (processed != 0) {
-    processed_.fetch_add(processed, std::memory_order_release);
+    processed_[static_cast<std::size_t>(core)].Add(
+        processed, std::memory_order_release);
   }
   if (any) {
     domain_.GaugeSet(core, g_mailbox_depth_, MailboxDepthApprox(core));

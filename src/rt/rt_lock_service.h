@@ -191,6 +191,25 @@ class RtLockService {
   /// non-worker thread with producers quiescent (no concurrent Submits).
   void WaitQuiesce();
 
+  /// A quiesce counter: one writer (a client thread or a worker core), a
+  /// plain load + store per update, alone on its cache line so the client
+  /// and the worker never bounce a line between them.
+  struct alignas(64) QuiesceCounter {
+    std::atomic<std::uint64_t> value{0};
+
+    void Add(std::uint64_t n, std::memory_order order) {
+      value.store(value.load(std::memory_order_relaxed) + n, order);
+    }
+  };
+  static_assert(sizeof(QuiesceCounter) == 64);
+
+  /// Requests client thread `client` has submitted so far (Submit and
+  /// SubmitBatch, counted before the push). Any thread may read it.
+  std::uint64_t Submitted(int client) const {
+    return submitted_[static_cast<std::size_t>(client)].value.load(
+        std::memory_order_acquire);
+  }
+
   /// Summed per-core stats. Exact once quiesced.
   Stats TotalStats() const;
 
@@ -287,8 +306,10 @@ class RtLockService {
   std::vector<std::unique_ptr<CoreStaging>> staging_;  ///< One per core.
   std::vector<std::unique_ptr<ClientOverflow>> overflow_;  ///< Per client.
   std::unique_ptr<RtExecutor> executor_;
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> processed_{0};
+  /// WaitQuiesce's counters: submitted_[client] written only by that
+  /// client thread, processed_[core] only by that core's worker.
+  std::unique_ptr<QuiesceCounter[]> submitted_;
+  std::unique_ptr<QuiesceCounter[]> processed_;
   std::atomic<std::uint64_t> event_seq_{0};
 
   /// Sharded per-core stats (one shard per worker core).
