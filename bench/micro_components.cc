@@ -251,6 +251,47 @@ void BM_LockEngineAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockEngineAcquireRelease);
 
+/// Acquire + release of one uncontended lock per iteration, scattered over
+/// 2^20 lock ids that all already have a state (the TPC-C stock/customer
+/// tail: most locks idle, each touched rarely). Unlike the hot-lock
+/// benchmark above, every operation misses the cache on the lock's state,
+/// so this measures what the per-lock state's size costs.
+void BM_LockEngineColdLocks(benchmark::State& state) {
+  NullGrantSink sink;
+  LockEngine engine(sink);
+  constexpr LockId kLockBits = 20;
+  constexpr LockId kMask = (LockId{1} << kLockBits) - 1;
+  // Odd multiplier: a bijection on [0, 2^20) that scatters consecutive
+  // iterations across the table.
+  const auto lock_of = [](std::uint64_t i) {
+    return static_cast<LockId>((i * 0x9E3779B1u) & kMask);
+  };
+  TxnId txn = 1;
+  for (std::uint64_t i = 0; i <= kMask; ++i) {
+    QueueSlot slot;
+    slot.txn_id = txn;
+    slot.client_node = 1;
+    engine.Acquire(lock_of(i), slot, 0);
+    engine.Release(lock_of(i), LockMode::kExclusive, txn++,
+                   /*lease_forced=*/false, 0);
+  }
+  std::uint64_t i = 0;
+  SimTime now = 1;
+  for (auto _ : state) {
+    const LockId lock = lock_of(i++);
+    QueueSlot slot;
+    slot.txn_id = txn;
+    slot.client_node = 1;
+    engine.Acquire(lock, slot, now);
+    engine.Release(lock, LockMode::kExclusive, txn++,
+                   /*lease_forced=*/false, now);
+    ++now;
+  }
+  benchmark::DoNotOptimize(sink.grants);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_LockEngineColdLocks);
+
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(1'000'000, 0.99);
   Rng rng(2);

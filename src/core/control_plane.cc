@@ -182,11 +182,19 @@ void ControlPlane::MoveLockToServer(LockId lock, std::function<void()> done) {
   switch_.PauseLock(lock, true);
   PollUntilDone(sim_, config_.drain_poll_interval,
                 [this, lock, done = std::move(done)]() {
-    // A switch restart mid-drain wipes the entry (and its queue with it);
-    // converge by completing the handoff rather than polling a ghost.
+    // A switch restart mid-drain reinstalls the entry suspended for one
+    // lease (RecoverSwitch): grants issued before the crash may still be
+    // held, and the fresh entry's empty queue does not show them. Wait
+    // until it is active and drained.
     if (switch_.IsInstalled(lock)) {
-      if (!switch_.QueueEmpty(lock)) return false;
+      if (switch_.IsSuspended(lock) || !switch_.QueueEmpty(lock)) {
+        return false;
+      }
       switch_.RemoveLock(lock);
+    } else if (sim_.now() < restart_grace_until_) {
+      // The restart could not reinstall it: complete the handoff rather
+      // than polling a ghost, but only once the same lease has passed.
+      return false;
     }
     ServerObjFor(lock).TakeOwnership(lock);
     CommitSwitchRemoval(lock);
@@ -284,7 +292,11 @@ bool ControlPlane::ApplyAllocation(const Allocation& target,
   }
   std::vector<LockId> to_remove;
   std::vector<std::pair<LockId, std::uint32_t>> to_add;
+  // A lock a re-home is moving keeps its placement: migrating it here too
+  // would run two competing drains on it.
+  const auto pinned = [this](LockId lock) { return pinned_.count(lock) != 0; };
   for (const LockId lock : switch_.table().InstalledLocks()) {
+    if (pinned(lock)) continue;
     const auto want_it = target_slots.find(lock);
     if (want_it == target_slots.end()) {
       to_remove.push_back(lock);
@@ -302,7 +314,9 @@ bool ControlPlane::ApplyAllocation(const Allocation& target,
     }
   }
   for (const auto& [lock, slots] : target.switch_slots) {
-    if (!switch_.IsInstalled(lock)) to_add.emplace_back(lock, slots);
+    if (!switch_.IsInstalled(lock) && !pinned(lock)) {
+      to_add.emplace_back(lock, slots);
+    }
   }
   // Both sets come out of unordered_map iteration: fix the order so the
   // migration event sequence is independent of hash-table layout.
@@ -366,6 +380,7 @@ bool ControlPlane::ApplyAllocation(const Allocation& target,
 
 void ControlPlane::RecoverSwitch() {
   switch_.Restart();
+  restart_grace_until_ = sim_.now() + config_.lease;
   // Reinstall the committed allocation, but suspended (queue-but-don't-
   // grant): grants issued before the crash are still live until their
   // leases expire, and an immediate regrant would overlap them — the
@@ -379,7 +394,18 @@ void ControlPlane::RecoverSwitch() {
     if (switch_.InstallLock(lock, home, slots, /*suspended=*/true)) {
       reinstalled.push_back(lock);
     } else {
+      // Served by the home server from now on: it must not grant before
+      // the pre-crash switch grants expire either.
       switch_.SetHomeServer(lock, home);
+      ServerObjFor(lock).GracePeriodUntil(restart_grace_until_);
+    }
+  }
+  // Locks staged for a re-home were never granted here: stage them again.
+  for (auto& [lock, slots] : pinned_) {
+    if (slots > 0 && !switch_.InstallLock(lock, ServerFor(lock), slots,
+                                          /*suspended=*/true)) {
+      slots = 0;
+      StageOnServer(lock);
     }
   }
   sim_.Schedule(config_.lease,
@@ -389,6 +415,38 @@ void ControlPlane::RecoverSwitch() {
                     if (switch_.IsSuspended(lock)) switch_.Activate(lock);
                   }
                 });
+}
+
+void ControlPlane::StageOnServer(LockId lock) {
+  RegisterServerLock(lock);
+  ServerObjFor(lock).PauseLock(lock, true);
+}
+
+bool ControlPlane::StageLock(LockId lock, std::uint32_t slots) {
+  const bool on_switch =
+      slots > 0 &&
+      switch_.InstallLock(lock, ServerFor(lock), slots, /*suspended=*/true);
+  if (!on_switch) StageOnServer(lock);
+  pinned_[lock] = on_switch ? slots : 0;
+  return on_switch;
+}
+
+void ControlPlane::CommitStaged(LockId lock) {
+  const auto it = pinned_.find(lock);
+  NETLOCK_CHECK(it != pinned_.end());
+  const std::uint32_t slots = it->second;
+  pinned_.erase(it);
+  if (slots > 0) {
+    switch_.Activate(lock);
+    CommitSwitchInstall(lock, slots);
+    return;
+  }
+  LockServer& server = ServerObjFor(lock);
+  server.PauseLock(lock, false);
+  server.TakeOwnership(lock);  // Converts any q2 buffer, grants head.
+  // Requests buffered while paused re-enter through the switch in arrival
+  // order.
+  server.ForwardBufferedToSwitch(lock);
 }
 
 bool ControlPlane::ServerAlive(int index) const {

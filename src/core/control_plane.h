@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -118,6 +119,26 @@ class ControlPlane {
   /// recovered via leases and client retries).
   void RecoverSwitch();
 
+  // --- Cross-rack re-homing (ShardedNetLock::RehomeLock) ---
+
+  /// Stages `lock` for a re-home into this rack without granting it: with
+  /// `slots` > 0 it is installed on the switch suspended (requests queue
+  /// there), otherwise — or if the switch has no room — its home server's
+  /// queue is paused (requests buffer there). Returns whether it landed on
+  /// the switch. Until CommitStaged, ApplyAllocation leaves the lock alone
+  /// and RecoverSwitch stages it again.
+  bool StageLock(LockId lock, std::uint32_t slots);
+
+  /// Ends the staging: activates the switch entry and records it as
+  /// installed, or unpauses the server queue and hands the lock to its home
+  /// server (requests buffered there re-enter through the switch).
+  void CommitStaged(LockId lock);
+
+  /// Keeps ApplyAllocation off a lock a re-home is draining out of this
+  /// rack, until Unpin.
+  void Pin(LockId lock) { pinned_.emplace(lock, 0); }
+  void Unpin(LockId lock) { pinned_.erase(lock); }
+
   // --- Lock-server failure (Section 4.5: "the locks allocated to this
   // server is assigned to another lock server ... the server waits for the
   // leases to expire before granting the locks") ---
@@ -156,6 +177,8 @@ class ControlPlane {
   /// never ahead of them (split-brain guard for RecoverSwitch).
   void CommitSwitchInstall(LockId lock, std::uint32_t slots);
   void CommitSwitchRemoval(LockId lock);
+  /// Routes `lock` to its home server and pauses it there.
+  void StageOnServer(LockId lock);
 
   Simulator& sim_;
   LockSwitch& switch_;
@@ -169,6 +192,13 @@ class ControlPlane {
   SimTime window_start_ = 0;
   bool lease_polling_ = false;
   bool migration_in_flight_ = false;
+  /// One lease after the last RecoverSwitch: grants the switch issued
+  /// before its crash may be held until then.
+  SimTime restart_grace_until_ = 0;
+  /// Locks a re-home is moving (Pin / StageLock), with the slots staged on
+  /// the switch (0: none). Ordered, so RecoverSwitch re-stages in a fixed
+  /// order.
+  std::map<LockId, std::uint32_t> pinned_;
 };
 
 }  // namespace netlock

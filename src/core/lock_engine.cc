@@ -8,32 +8,14 @@ namespace netlock {
 
 // --- WaitQueue ---
 
-void LockEngine::WaitQueue::Spill(SlabPool& pool) {
-  // Only called when the inline ring is full; kInlineSlots <= kChunkSlots,
-  // so the whole ring fits the first chunk.
-  const std::uint32_t chunk = pool.Alloc();
-  Chunk& c = pool.at(chunk);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    c.slots[i] = inline_slots[(head + i) % kInlineSlots];
-  }
-  head_chunk = tail_chunk = chunk;
-  head = 0;
-  tail_off = count;
-  spilled = true;
-}
-
 void LockEngine::WaitQueue::PushBack(const QueueSlot& slot, SlabPool& pool) {
-  if (!spilled) {
-    if (count < kInlineSlots) {
-      inline_slots[(head + count) % kInlineSlots] = slot;
-      ++count;
-      return;
-    }
-    Spill(pool);
-  }
-  if (tail_off == kChunkSlots) {
+  if (count == 0) {
+    head_chunk = tail_chunk = pool.Alloc();
+    head = 0;
+    tail_off = 0;
+  } else if (tail_off == kChunkSlots) {
     const std::uint32_t chunk = pool.Alloc();
-    pool.at(tail_chunk).next = chunk;
+    pool.set_next(tail_chunk, chunk);
     tail_chunk = chunk;
     tail_off = 0;
   }
@@ -43,32 +25,30 @@ void LockEngine::WaitQueue::PushBack(const QueueSlot& slot, SlabPool& pool) {
 
 void LockEngine::WaitQueue::PopFront(SlabPool& pool) {
   NETLOCK_CHECK(count > 0);
-  --count;
-  if (!spilled) {
-    head = (head + 1) % kInlineSlots;
+  if (--count == 0) {
+    // A queue only chains a second chunk once its first is full, so an
+    // emptied queue holds exactly one chunk.
+    pool.Free(head_chunk);
+    head_chunk = tail_chunk = kNone;
+    head = 0;
+    tail_off = 0;
     return;
   }
   if (++head == kChunkSlots) {
-    const std::uint32_t next = pool.at(head_chunk).next;
+    const std::uint32_t next = pool.next(head_chunk);
     pool.Free(head_chunk);
     head_chunk = next;
     head = 0;
   }
-  if (count == 0) {
-    // Revert to inline mode so a once-deep queue goes back to the
-    // zero-indirection fast path.
-    if (head_chunk != kNone) pool.Free(head_chunk);
-    head_chunk = tail_chunk = kNone;
-    head = 0;
-    tail_off = 0;
-    spilled = false;
-  }
 }
 
 void LockEngine::WaitQueue::Reset(SlabPool& pool) {
+  // Links past the tail chunk are stale, so count the chunks instead of
+  // walking to a sentinel.
   std::uint32_t chunk = head_chunk;
-  while (chunk != kNone) {
-    const std::uint32_t next = pool.at(chunk).next;
+  for (std::uint32_t n = (head + count + kChunkSlots - 1) / kChunkSlots;
+       n > 0; --n) {
+    const std::uint32_t next = pool.next(chunk);
     pool.Free(chunk);
     chunk = next;
   }
@@ -76,7 +56,6 @@ void LockEngine::WaitQueue::Reset(SlabPool& pool) {
   head = 0;
   head_chunk = tail_chunk = kNone;
   tail_off = 0;
-  spilled = false;
 }
 
 // --- Flat table ---
@@ -239,7 +218,7 @@ LockEngine::RemoveResult LockEngine::RemoveMatching(
     if (!found) break;
     // Remove position `pos` by rotating [0, pos) one slot towards the
     // tail and popping the (now duplicated) front — reuses PopFront's
-    // chunk-free/inline-revert logic and preserves FIFO order.
+    // chunk-free logic and preserves FIFO order.
     QueueSlot victim;
     if (pos == 0) {
       victim = q.Front(pool_);

@@ -18,14 +18,15 @@
 // every operation, and grant decisions come out through a GrantSink.
 //
 // Storage is a flat open-addressing table (linear probing, tombstone
-// deletion) of per-lock states, with slab-backed FIFO wait queues: a
-// queue's first kInlineSlots entries live inline in the state (the common
-// case — depth <= 4 — touches no other memory and allocates nothing), and
-// deeper queues spill into fixed-size chunks drawn from a free-list slab
-// owned by the engine, so steady-state acquire/release performs zero heap
-// allocations at any depth once the slab is warm. The previous
-// unordered_map<LockId, deque> representation paid a node allocation per
-// lock plus deque pointer-chasing on every operation.
+// deletion) of 64-byte per-lock states, one cache line each. A state holds
+// the demand counters and two 20-byte FIFO queue headers; the entries
+// themselves live in 8-slot chunks drawn from an engine-owned free-list
+// slab. A queue takes its first chunk on its first push and returns its
+// last one when it empties, so an idle lock costs one cache line and
+// steady-state acquire/release performs zero heap allocations at any depth
+// once the slab is warm. Large lock spaces (TPC-C's stock and customer
+// rows) are dominated by locks that are touched once or twice, so the size
+// of the per-lock state, not the queue walk, sets the engine's cost there.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +91,15 @@ enum class ReleaseOutcome : std::uint8_t {
   kMismatched = 2,  ///< Mode/txn does not match the head (already swept).
 };
 
-class LockEngine {
+/// Cache-line aligned: the slab's free-list head is written whenever an
+/// idle lock is acquired or released, and on the rt backend the object
+/// must not share a line with data another thread writes.
+class alignas(64) LockEngine {
  public:
+  /// Queue entries per slab chunk, the unit a wait queue grows and shrinks
+  /// by.
+  static constexpr std::uint32_t kChunkSlots = 8;
+
   explicit LockEngine(GrantSink& sink) : sink_(sink) {}
 
   LockEngine(const LockEngine&) = delete;
@@ -186,6 +194,8 @@ class LockEngine {
 
   std::vector<LockId> OwnedLocks() const;
   std::size_t num_owned() const { return size_; }
+  /// Slab chunks currently held by queues (0 once every queue is empty).
+  std::size_t live_chunks() const { return pool_.live(); }
 
   /// Harvests per-lock demand counters (rates normalized by `window_sec`),
   /// appending to `out`, and resets them (§4.3).
@@ -193,68 +203,77 @@ class LockEngine {
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
-  /// Queue entries stored inline in the lock state (zero-indirection fast
-  /// path; the paper's workloads rarely queue deeper than a handful).
-  static constexpr std::uint32_t kInlineSlots = 4;
-  /// Entries per slab chunk once a queue spills past the inline storage.
-  static constexpr std::uint32_t kChunkSlots = 8;
-  static_assert(kInlineSlots <= kChunkSlots,
-                "spilling copies the inline ring into one chunk");
-
-  /// One slab chunk: a fixed run of slots plus the next-chunk link.
-  struct Chunk {
+  /// One slab chunk: a fixed run of slots, exactly four cache lines.
+  struct alignas(64) Chunk {
     QueueSlot slots[kChunkSlots];
-    std::uint32_t next = kNone;
   };
+  static_assert(sizeof(Chunk) == 4 * 64, "a chunk is four cache lines");
 
-  /// Free-list slab of chunks. Indices are stable (vector only grows);
-  /// freed chunks are reused, so a warmed engine never allocates.
+  /// Free-list slab of chunks. Indices are stable (vectors only grow);
+  /// freed chunks are reused, so a warmed engine never allocates. Taking
+  /// or returning a chunk touches only its first line (the free list is
+  /// threaded through the dead first slot of each free chunk) and the
+  /// list head.
   class SlabPool {
    public:
     std::uint32_t Alloc() {
-      if (!free_.empty()) {
-        const std::uint32_t idx = free_.back();
-        free_.pop_back();
-        chunks_[idx].next = kNone;
+      if (free_head_ != kNone) {
+        const std::uint32_t idx = free_head_;
+        free_head_ = static_cast<std::uint32_t>(chunks_[idx].slots[0].txn_id);
         return idx;
       }
       chunks_.emplace_back();
+      next_.push_back(kNone);
       return static_cast<std::uint32_t>(chunks_.size() - 1);
     }
-    void Free(std::uint32_t idx) { free_.push_back(idx); }
+    void Free(std::uint32_t idx) {
+      chunks_[idx].slots[0].txn_id = free_head_;
+      free_head_ = idx;
+    }
     Chunk& at(std::uint32_t idx) { return chunks_[idx]; }
     const Chunk& at(std::uint32_t idx) const { return chunks_[idx]; }
+    /// The chunk after `idx` in its queue; set when the queue chains it.
+    std::uint32_t next(std::uint32_t idx) const { return next_[idx]; }
+    void set_next(std::uint32_t idx, std::uint32_t next) {
+      next_[idx] = next;
+    }
+    /// Chunks not on the free list (walks it: for tests and checks).
+    std::size_t live() const {
+      std::size_t free = 0;
+      for (std::uint32_t idx = free_head_; idx != kNone;
+           idx = static_cast<std::uint32_t>(chunks_[idx].slots[0].txn_id)) {
+        ++free;
+      }
+      return chunks_.size() - free;
+    }
     void Clear() {
       chunks_.clear();
-      free_.clear();
+      next_.clear();
+      free_head_ = kNone;
     }
 
    private:
     std::vector<Chunk> chunks_;
-    std::vector<std::uint32_t> free_;
+    std::vector<std::uint32_t> next_;
+    std::uint32_t free_head_ = kNone;
   };
 
-  /// FIFO wait queue: an inline ring while depth stays <= kInlineSlots,
-  /// a chunk chain after it spills (reverting to inline when it empties).
+  /// FIFO wait queue: a chain of slab chunks, none while empty.
   struct WaitQueue {
-    QueueSlot inline_slots[kInlineSlots];
     std::uint32_t count = 0;
-    /// Inline mode: ring index of the front. Spilled: front offset within
-    /// the head chunk.
-    std::uint32_t head = 0;
+    std::uint32_t head = 0;  ///< Front offset within the head chunk.
     std::uint32_t head_chunk = kNone;
     std::uint32_t tail_chunk = kNone;
     std::uint32_t tail_off = 0;  ///< Next free slot in the tail chunk.
-    bool spilled = false;
 
     bool empty() const { return count == 0; }
     std::size_t size() const { return count; }
 
     QueueSlot& Front(SlabPool& pool) {
-      return spilled ? pool.at(head_chunk).slots[head] : inline_slots[head];
+      return pool.at(head_chunk).slots[head];
     }
     const QueueSlot& Front(const SlabPool& pool) const {
-      return spilled ? pool.at(head_chunk).slots[head] : inline_slots[head];
+      return pool.at(head_chunk).slots[head];
     }
 
     void PushBack(const QueueSlot& slot, SlabPool& pool);
@@ -265,48 +284,35 @@ class LockEngine {
     /// Forward cursor from the front; valid while the queue is unchanged.
     struct Cursor {
       std::uint32_t remaining = 0;
-      std::uint32_t chunk = kNone;  ///< kNone in inline mode.
+      std::uint32_t chunk = kNone;
       std::uint32_t off = 0;
     };
-    Cursor Begin() const {
-      Cursor c;
-      c.remaining = count;
-      c.chunk = spilled ? head_chunk : kNone;
-      c.off = head;
-      return c;
-    }
+    Cursor Begin() const { return Cursor{count, head_chunk, head}; }
     bool Done(const Cursor& c) const { return c.remaining == 0; }
     QueueSlot& At(const Cursor& c, SlabPool& pool) {
-      return c.chunk == kNone ? inline_slots[c.off]
-                              : pool.at(c.chunk).slots[c.off];
+      return pool.at(c.chunk).slots[c.off];
     }
     void Advance(Cursor& c, const SlabPool& pool) const {
       --c.remaining;
-      if (c.chunk == kNone) {
-        c.off = (c.off + 1) % kInlineSlots;
-        return;
-      }
       if (++c.off == kChunkSlots) {
-        c.chunk = pool.at(c.chunk).next;
+        c.chunk = pool.next(c.chunk);
         c.off = 0;
       }
     }
-
-   private:
-    void Spill(SlabPool& pool);
   };
 
   /// Per-lock software queue with switch-equivalent semantics. Pool slots
   /// with key == kInvalidLock are free.
-  struct LockState {
+  struct alignas(64) LockState {
     LockId key = kInvalidLock;
-    WaitQueue queue;          ///< Entries remain until released.
-    WaitQueue paused_buffer;  ///< Entries received while paused.
-    std::uint32_t xcnt = 0;   ///< Exclusive entries among queue.
-    bool paused = false;
+    std::uint32_t xcnt = 0;       ///< Exclusive entries among queue.
     std::uint64_t req_count = 0;  ///< r_i demand counter (§4.3).
     std::uint32_t max_depth = 1;  ///< c_i demand counter.
+    WaitQueue queue;              ///< Entries remain until released.
+    WaitQueue paused_buffer;      ///< Entries received while paused.
+    bool paused = false;
   };
+  static_assert(sizeof(LockState) == 64, "one cache line per lock");
 
   /// Open-addressing bucket: {key, state index}. `state` doubles as the
   /// occupancy marker (kEmptySlot / kTombstone sentinels).

@@ -165,13 +165,17 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
                                 std::function<void()> done) {
   NETLOCK_CHECK(to_rack >= 0 && to_rack < num_racks());
   const int from_rack = directory_.RackFor(lock);
-  if (from_rack == to_rack || RehomeInFlight(lock)) {
+  NetLockManager& src = *racks_[from_rack];
+  NetLockManager& dst = *racks_[to_rack];
+  // A migration batch in flight on either rack may be draining this very
+  // lock; a second drain of it would race the first.
+  if (from_rack == to_rack || RehomeInFlight(lock) ||
+      src.control_plane().MigrationInFlight() ||
+      dst.control_plane().MigrationInFlight()) {
     if (done) done();
     return false;
   }
   rehoming_.insert(lock);
-  NetLockManager& src = *racks_[from_rack];
-  NetLockManager& dst = *racks_[to_rack];
 
   // Preserve the source's placement: a switch-resident lock re-homes onto
   // the target's switch with the same slot count; a server-owned lock
@@ -183,18 +187,13 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
       slots += region.right - region.left;
     }
   }
-  // Step 1: stage the lock at the target, suspended — requests may queue
-  // there but nothing is granted while the source still holds state.
-  const bool dst_on_switch =
-      slots > 0 && dst.lock_switch().InstallLock(
-                       lock, dst.control_plane().ServerFor(lock), slots,
-                       /*suspended=*/true);
-  if (!dst_on_switch) {
-    // Target serves it from the lock server (switch full or the lock was
-    // server-owned at the source): route it and pause the owned queue.
-    dst.control_plane().RegisterServerLock(lock);
-    dst.control_plane().ServerObjFor(lock).PauseLock(lock, true);
-  }
+  // Step 1: stage the lock at the target — suspended on its switch, or
+  // paused at its lock server if the switch is full or the lock was
+  // server-owned at the source. Requests may queue there but nothing is
+  // granted while the source still holds state. Both racks' allocations
+  // leave the lock alone until the move is done.
+  src.control_plane().Pin(lock);
+  dst.control_plane().StageLock(lock, slots);
   // Step 2: flip the directory. New acquires route to the (still
   // suspended) target; requests already in flight — and their
   // retransmissions — stay with the source, which keeps granting until its
@@ -203,8 +202,7 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
 
   // Step 4 (scheduled from step 3 below): the source is drained — drop its
   // state, tombstone-route stragglers to the target's switch, activate.
-  auto finish = [this, lock, from_rack, to_rack, dst_on_switch,
-                 done = std::move(done)]() {
+  auto finish = [this, lock, from_rack, to_rack, done = std::move(done)]() {
     NetLockManager& source = *racks_[from_rack];
     NetLockManager& target = *racks_[to_rack];
     // Any stray for this lock still addressed to the source (a duplicated
@@ -213,16 +211,8 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
     // owner.
     source.lock_switch().SetHomeServer(lock, target.lock_switch().node());
     source.control_plane().ServerObjFor(lock).DropState(lock);
-    if (dst_on_switch) {
-      target.lock_switch().Activate(lock);
-    } else {
-      LockServer& server = target.control_plane().ServerObjFor(lock);
-      server.PauseLock(lock, false);
-      server.TakeOwnership(lock);  // Converts any q2 buffer, grants head.
-      // Requests buffered while paused re-enter through the target's
-      // switch in arrival order.
-      server.ForwardBufferedToSwitch(lock);
-    }
+    source.control_plane().Unpin(lock);
+    target.control_plane().CommitStaged(lock);
     rehoming_.erase(lock);
     ++rehomes_completed_;
     if (done) done();

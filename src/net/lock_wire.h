@@ -59,6 +59,10 @@ enum LockFlags : std::uint8_t {
   /// server; the tail follows that decision (and emits the forward) so the
   /// replicas' queue contents never diverge.
   kFlagOverflowed = 1 << 5,
+  /// A server re-sent this acquire to the switch because it had handed the
+  /// lock to the switch. If the switch forwards it back as server-owned,
+  /// the switch no longer owns the lock and the server serves it.
+  kFlagRerouted = 1 << 6,
 };
 
 /// Wire header for every NetLock message. 36 bytes on the wire.

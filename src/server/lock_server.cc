@@ -80,7 +80,7 @@ void LockServer::Process(const LockHeader& hdr) {
     case LockOp::kAcquire:
       if ((hdr.flags & kFlagBufferOnly) != 0 && !engine_.Owns(hdr.lock_id)) {
         ProcessBufferOnly(hdr);
-      } else {
+      } else if (!RerouteToSwitch(hdr)) {
         ProcessOwnedAcquire(hdr);
       }
       break;
@@ -96,6 +96,29 @@ void LockServer::Process(const LockHeader& hdr) {
     default:
       break;
   }
+}
+
+bool LockServer::RerouteToSwitch(const LockHeader& hdr) {
+  const auto it = handed_off_.find(hdr.lock_id);
+  if (it == handed_off_.end()) return false;
+  if ((hdr.flags & kFlagRerouted) != 0) {
+    // The switch saw this acquire after the handoff and still forwarded it
+    // here as server-owned: this server is the lock's owner again (e.g. it
+    // left the switch through another server, or its home moved back), so
+    // serve it and forget the handoff.
+    handed_off_.erase(it);
+    return false;
+  }
+  // The switch forwarded this acquire before the handoff committed (it was
+  // in flight while the lock moved). Granting it here would run a second
+  // queue beside the new owner's; send it back through the switch, which
+  // routes it to the owner, as ForwardBufferedToSwitch does for acquires
+  // buffered during a move.
+  LockHeader req = hdr;
+  req.flags = kFlagRerouted;
+  net_.Send(MakeLockPacket(node_, switch_node_, req));
+  ++stats_.rerouted;
+  return true;
 }
 
 void LockServer::ProcessOwnedAcquire(const LockHeader& hdr) {
@@ -271,6 +294,7 @@ void LockServer::OnWaitEnd(LockId lock, const QueueSlot& slot, SimTime now) {
 }
 
 void LockServer::TakeOwnership(LockId lock) {
+  handed_off_.erase(lock);
   std::deque<QueueSlot> backlog;
   const auto it = q2_.find(lock);
   if (it != q2_.end()) {
@@ -284,9 +308,15 @@ void LockServer::TakeOwnership(LockId lock) {
   engine_.AdoptQueue(lock, std::move(backlog), substrate_.Now());
 }
 
-void LockServer::DropOwnership(LockId lock) { engine_.DropDrained(lock); }
+void LockServer::DropOwnership(LockId lock) {
+  engine_.DropDrained(lock);
+  handed_off_.insert(lock);
+}
 
-void LockServer::EvictOwnership(LockId lock) { engine_.Drop(lock); }
+void LockServer::EvictOwnership(LockId lock) {
+  engine_.Drop(lock);
+  handed_off_.insert(lock);
+}
 
 void LockServer::Fail() {
   failed_ = true;
@@ -295,6 +325,7 @@ void LockServer::Fail() {
     AdjustQ2Depth(-static_cast<std::int64_t>(q2.size()));
   }
   q2_.clear();
+  handed_off_.clear();
   graced_locks_.clear();
   release_filter_.assign(release_filter_.size(), 0);
   last_push_notify_.clear();
@@ -371,6 +402,7 @@ std::vector<LockId> LockServer::OwnedLocks() const {
 
 void LockServer::DropState(LockId lock) {
   engine_.Drop(lock);
+  handed_off_.insert(lock);
   const auto it = q2_.find(lock);
   if (it != q2_.end()) {
     AdjustQ2Depth(-static_cast<std::int64_t>(it->second.size()));

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.h"
@@ -72,13 +73,17 @@ class LockServer : private GrantSink {
   void TakeOwnership(LockId lock);
 
   /// Marks that the switch now owns this lock. Precondition: drained here.
+  /// Until TakeOwnership, acquires for it that the switch forwarded as
+  /// server-owned before the handoff are re-sent to the switch instead of
+  /// recreating state here (which would grant beside the switch).
   void DropOwnership(LockId lock);
 
   /// Unconditionally discards owned state for a lock the switch is taking
   /// over after quiescence (e.g., when an allocation is installed following
   /// a profiling phase). Any entries still queued are ghosts — grants whose
   /// clients already moved on (duplicate retransmissions) — and their
-  /// eventual releases will be absorbed as stale by the new owner.
+  /// eventual releases will be absorbed as stale by the new owner. Like
+  /// DropOwnership, marks the lock as handed to the switch.
   void EvictOwnership(LockId lock);
 
   /// Pauses an owned lock for migration to the switch: new requests are
@@ -131,6 +136,8 @@ class LockServer : private GrantSink {
   /// Drops all state (owned queue + q2 buffer) for one lock. Used when a
   /// recovered peer takes its locks back: waiters here recover via client
   /// retransmission, and in-flight releases become stale at the new owner.
+  /// Acquires still in flight to this server go back through the switch
+  /// (see DropOwnership).
   void DropState(LockId lock);
 
   void set_grant_observer(
@@ -163,6 +170,8 @@ class LockServer : private GrantSink {
     std::uint64_t aborts_refused = 0;   ///< no-wait / wait-die refusals.
     std::uint64_t wounds = 0;           ///< Entries revoked by wound-wait.
     std::uint64_t cancels_removed = 0;  ///< Entries removed by kCancel.
+    /// Acquires for a lock handed off, re-sent through the switch.
+    std::uint64_t rerouted = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -178,6 +187,9 @@ class LockServer : private GrantSink {
   void ProcessCancel(const LockHeader& hdr);
   void ProcessBufferOnly(const LockHeader& hdr);
   void ProcessQueueEmpty(const LockHeader& hdr);
+  /// Re-sends an acquire for a handed-off lock through the switch; false
+  /// if the server must process it itself.
+  bool RerouteToSwitch(const LockHeader& hdr);
 
   // GrantSink: the engine decided to grant; build and send the packet.
   void DeliverGrant(LockId lock, const QueueSlot& slot) override;
@@ -203,6 +215,9 @@ class LockServer : private GrantSink {
   /// The shared wait-queue protocol (also driven by the rt backend).
   LockEngine engine_;
   std::unordered_map<LockId, std::deque<QueueSlot>> q2_;
+  /// Locks handed to the switch (DropOwnership / EvictOwnership) or to
+  /// another server (DropState) and not taken back (TakeOwnership).
+  std::unordered_set<LockId> handed_off_;
   /// Release-dedup fingerprints (empty when the filter is disabled).
   std::vector<std::uint64_t> release_filter_;
   /// Per-instance nonce stamped into each grant's aux (see the switch's

@@ -348,6 +348,94 @@ TEST(ScheduleFuzzerTest, SeededAlwaysWaitDeadlockIsCaughtByWaitsForOracle) {
   EXPECT_EQ(healthy.stuck_cycles, 0u);
 }
 
+// Shrunk sweep finds, pinned as replays. Before their fixes the first
+// four overlapped two grants of one lock and the last four tripped a
+// CHECK:
+//  - ServerToSwitchHandoff: an acquire the switch forwarded as
+//    server-owned just before MoveLockToSwitch committed reached the old
+//    server afterwards, which recreated the lock and granted it beside the
+//    switch. The server now re-sends such acquires to the switch.
+//  - DemoteThroughSwitchRestart*: MoveLockToServer's drain saw the empty
+//    queue of the entry RecoverSwitch had just reinstalled suspended, and
+//    the server granted while a pre-crash switch grant was still held. The
+//    drain now waits while the entry is suspended.
+//  - SubstituteDropWithAcquireInFlight: RecoverServer made the substitute
+//    drop a lock it had granted; an acquire in flight to the substitute
+//    recreated the lock there and was granted beside the holder. Such
+//    acquires now go back through the switch to the recovered home.
+//  - RehomeRacesRackMigration: the self-driving controller's allocation
+//    drained a lock that a cross-rack re-home was draining too, and the
+//    second handoff found the server already serving it. A re-home now
+//    pins the lock on both racks (RehomeRacesRackMigration) and is not
+//    started while either rack has a batch in flight
+//    (RehomeDuringRackMigrationBatch).
+//  - RehomeStagedThroughSwitchRestart*: a switch restart wiped a lock
+//    staged (suspended) for a re-home, and the re-home's commit activated
+//    a missing entry. RecoverSwitch now stages such locks again.
+struct PinnedReplay {
+  const char* name;
+  std::uint64_t seed;
+  const char* plan;
+};
+
+class PinnedReplayTest : public ::testing::TestWithParam<PinnedReplay> {};
+
+TEST_P(PinnedReplayTest, StaysClean) {
+  Schedule sched;
+  sched.seed = GetParam().seed;
+  ASSERT_TRUE(Schedule::Parse(GetParam().plan, &sched));
+  const RunReport report = ScheduleFuzzer::RunSchedule(sched);
+  EXPECT_TRUE(report.ok) << report.Summary();
+  EXPECT_EQ(report.violations, 0u);
+  EXPECT_EQ(report.stuck_cycles, 0u);
+  EXPECT_GT(report.grants, 200u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScheduleFuzzerTest, PinnedReplayTest,
+    ::testing::Values(
+        PinnedReplay{"ServerToSwitchHandoff", 10240499549820507791ull,
+                     "m=3;spm=3;locks=4;cap=8;shared=0;lpt=2;racks=1;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;plan="},
+        PinnedReplay{"DemoteThroughSwitchRestartShared",
+                     2948509633643695371ull,
+                     "m=2;spm=2;locks=4;cap=4;shared=300;lpt=2;racks=1;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;"
+                     "plan=downsw:9587349:0:0:0"},
+        PinnedReplay{"DemoteThroughSwitchRestartExclusive",
+                     13755867275257657699ull,
+                     "m=3;spm=3;locks=10;cap=4;shared=0;lpt=2;racks=1;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;"
+                     "plan=downsw:7696029:0:0:0"},
+        PinnedReplay{"SubstituteDropWithAcquireInFlight",
+                     605477690642308827ull,
+                     "m=3;spm=2;locks=6;cap=4;shared=0;lpt=1;racks=1;"
+                     "unord=0;policy=0;ctrl=0;run=10000000;"
+                     "plan=failsrv:2269534:0:1:0"},
+        PinnedReplay{"RehomeRacesRackMigration", 3055998305919316919ull,
+                     "m=3;spm=2;locks=4;cap=16;shared=0;lpt=2;racks=2;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;"
+                     "plan=loss:1374891:0:0:69"},
+        PinnedReplay{"RehomeDuringRackMigrationBatch",
+                     6782876318565840309ull,
+                     "m=3;spm=3;locks=4;cap=16;shared=0;lpt=2;racks=2;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;"
+                     "plan=jitter:22593:0:0:1475,loss:3256647:0:0:74,"
+                     "reorder:9662984:11489163:0:95"},
+        PinnedReplay{"RehomeStagedThroughSwitchRestartA",
+                     613874754775496721ull,
+                     "m=1;spm=1;locks=4;cap=16;shared=0;lpt=1;racks=2;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;"
+                     "plan=downsw:5403468:0:0:0,upsw:11420123:0:0:0"},
+        PinnedReplay{"RehomeStagedThroughSwitchRestartB",
+                     13241858571921446873ull,
+                     "m=2;spm=1;locks=4;cap=16;shared=0;lpt=2;racks=2;"
+                     "unord=0;policy=0;ctrl=1;run=10000000;"
+                     "plan=downsw:8710030:0:0:0,upsw:15967738:0:0:0"}),
+    [](const ::testing::TestParamInfo<PinnedReplay>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(ScheduleFuzzerTest, GeneratedSweepIsCleanOnTheSeedTree) {
   // A miniature version of the CI fuzz-smoke job: every generated
   // schedule must satisfy safety, FIFO (when applicable), and liveness.

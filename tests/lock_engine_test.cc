@@ -350,17 +350,17 @@ TEST(LockEnginePolicyTest, RemoveTxnClearsWaitersAndPausedEntries) {
   EXPECT_EQ(engine.TakePausedBuffer(3).size(), 0u);
 }
 
-// --- Flat-table / slab-queue migration coverage ---
-// The wait queue stores up to 4 entries inline and spills the whole queue
-// into slab chunks beyond that; the table is open-addressing with
-// tombstones. These tests walk every migration edge: inline -> slab growth,
-// slab -> inline shrink, cascade runs crossing the spill boundary, deep
-// paused buffers, deep adopted backlogs, and table rehash/tombstone reuse.
+// --- Flat-table / slab-queue coverage ---
+// The wait queue is a chain of 8-slot slab chunks (none while empty); the
+// table is open-addressing with tombstones. These tests walk every edge:
+// chain growth past one chunk, return of every chunk on drain, cascade
+// runs crossing chunk boundaries, deep paused buffers, deep adopted
+// backlogs, and table rehash/tombstone reuse.
 
 TEST(LockEngineTest, DeepQueueSpillsToSlabAndPreservesFifo) {
   CapturingSink sink;
   LockEngine engine(sink);
-  constexpr TxnId kWaiters = 20;  // Inline holds 4; forces chunk chains.
+  constexpr TxnId kWaiters = 20;  // Three chunks deep.
   for (TxnId t = 1; t <= kWaiters; ++t) {
     engine.Acquire(1, Slot(LockMode::kExclusive, t), t);
   }
@@ -370,7 +370,7 @@ TEST(LockEngineTest, DeepQueueSpillsToSlabAndPreservesFifo) {
     EXPECT_EQ(engine.Release(1, LockMode::kExclusive, t, false, 100 + t),
               ReleaseOutcome::kApplied);
   }
-  // Strict FIFO through the spill: grant t, then t+1, ... up to kWaiters.
+  // Strict FIFO across chunks: grant t, then t+1, ... up to kWaiters.
   ASSERT_EQ(sink.grants.size(), kWaiters);
   for (TxnId t = 1; t <= kWaiters; ++t) {
     EXPECT_EQ(sink.grants[t - 1].slot.txn_id, t);
@@ -382,8 +382,8 @@ TEST(LockEngineTest, DeepQueueSpillsToSlabAndPreservesFifo) {
 TEST(LockEngineTest, SpilledQueueRevertsToInlineAndRegrows) {
   CapturingSink sink;
   LockEngine engine(sink);
-  // Grow past the inline capacity, drain to empty (queue reverts to the
-  // inline fast path), then regrow — twice, to catch chunk-recycling bugs.
+  // Grow past one chunk, drain to empty (every chunk goes back to the
+  // slab), then regrow — twice, to catch chunk-recycling bugs.
   for (int round = 0; round < 2; ++round) {
     const TxnId base = static_cast<TxnId>(round) * 100;
     for (TxnId t = 1; t <= 10; ++t) {
@@ -408,7 +408,7 @@ TEST(LockEngineTest, SharedRunCascadeCrossesSpillBoundary) {
   LockEngine engine(sink);
   engine.Acquire(1, Slot(LockMode::kExclusive, 1), 0);
   // 10 shared waiters + a trailing exclusive: the E->S cascade run spans
-  // the inline ring and two slab chunks.
+  // two slab chunks.
   for (TxnId t = 2; t <= 11; ++t) {
     engine.Acquire(1, Slot(LockMode::kShared, t), 0);
   }
@@ -453,7 +453,7 @@ TEST(LockEngineTest, AdoptQueueInstallsDeepBacklog) {
     backlog.push_back(Slot(LockMode::kExclusive, t));
   }
   engine.AdoptQueue(4, std::move(backlog), 300);
-  // Leading shared run (6 entries, crossing the spill boundary) granted.
+  // Leading shared run (6 entries) granted.
   ASSERT_EQ(sink.grants.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(sink.grants[i].slot.txn_id, i + 1);
@@ -502,12 +502,147 @@ TEST(LockEngineTest, TableGrowsDropsAndReusesManyLocks) {
   EXPECT_EQ(engine.OwnedLocks().size(), kLocks);
 }
 
+// Queues of exactly one full chunk and one entry past it: the two depths
+// where the tail moves to a new chunk and the head leaves the first.
+constexpr std::uint32_t kChunk = LockEngine::kChunkSlots;
+
+TEST(LockEngineTest, ChunkBoundaryQueuesKeepFifo) {
+  for (const std::uint32_t depth : {kChunk, kChunk + 1}) {
+    SCOPED_TRACE(depth);
+    CapturingSink sink;
+    LockEngine engine(sink);
+    EXPECT_EQ(engine.live_chunks(), 0u);
+    for (TxnId t = 1; t <= depth; ++t) {
+      engine.Acquire(3, Slot(LockMode::kExclusive, t), t);
+    }
+    EXPECT_EQ(engine.live_chunks(), depth > kChunk ? 2u : 1u);
+    EXPECT_EQ(engine.QueueDepth(3), depth);
+    for (TxnId t = 1; t <= depth; ++t) {
+      ASSERT_EQ(engine.Release(3, LockMode::kExclusive, t, false, 100),
+                ReleaseOutcome::kApplied);
+    }
+    ASSERT_EQ(sink.grants.size(), depth);
+    for (TxnId t = 1; t <= depth; ++t) {
+      EXPECT_EQ(sink.grants[t - 1].slot.txn_id, t);
+    }
+    EXPECT_TRUE(engine.QueueEmpty(3));
+    EXPECT_EQ(engine.live_chunks(), 0u);
+  }
+}
+
+TEST(LockEngineTest, SharedCascadeEndsAtChunkBoundary) {
+  // Exclusive head, shareds up to the last slot of the queue, then (for
+  // depth kChunk + 1) the run's last shared sits alone in the second chunk.
+  for (const std::uint32_t depth : {kChunk, kChunk + 1}) {
+    SCOPED_TRACE(depth);
+    CapturingSink sink;
+    LockEngine engine(sink);
+    engine.Acquire(1, Slot(LockMode::kExclusive, 1), 0);
+    for (TxnId t = 2; t <= depth; ++t) {
+      engine.Acquire(1, Slot(LockMode::kShared, t), 0);
+    }
+    ASSERT_EQ(sink.grants.size(), 1u);
+    EXPECT_EQ(engine.Release(1, LockMode::kExclusive, 1, false, 55),
+              ReleaseOutcome::kApplied);
+    ASSERT_EQ(sink.grants.size(), depth);
+    for (TxnId t = 2; t <= depth; ++t) {
+      EXPECT_EQ(sink.grants[t - 1].slot.txn_id, t);
+      EXPECT_EQ(sink.grants[t - 1].slot.timestamp, 55u);
+    }
+    // An exclusive joining the all-shared run waits for every holder.
+    engine.Acquire(1, Slot(LockMode::kExclusive, 100), 56);
+    EXPECT_EQ(sink.grants.size(), depth);
+    for (TxnId t = 2; t <= depth; ++t) {
+      EXPECT_EQ(engine.Release(1, LockMode::kShared, t, false, 57),
+                ReleaseOutcome::kApplied);
+    }
+    ASSERT_EQ(sink.grants.size(), depth + 1);
+    EXPECT_EQ(sink.grants.back().slot.txn_id, 100u);
+    EXPECT_EQ(engine.Release(1, LockMode::kExclusive, 100, false, 58),
+              ReleaseOutcome::kApplied);
+    EXPECT_EQ(engine.live_chunks(), 0u);
+  }
+}
+
+TEST(LockEnginePolicyTest, WoundStraddlingChunkBoundaryKeepsSurvivorOrder) {
+  CapturingSink sink;
+  LockEngine engine(sink);
+  engine.set_deadlock_policy(DeadlockPolicy::kWoundWait);
+  // Positions 0..kChunk-2 hold old txns 1..kChunk-1; the two young txns
+  // sit in the first chunk's last slot and the second chunk's first slot.
+  for (TxnId t = 1; t < kChunk; ++t) {
+    engine.Acquire(2, Slot(LockMode::kExclusive, t), 0);
+  }
+  engine.Acquire(2, Slot(LockMode::kExclusive, 200), 0);
+  engine.Acquire(2, Slot(LockMode::kExclusive, 201), 0);
+  ASSERT_EQ(engine.QueueDepth(2), kChunk + 1);
+  EXPECT_EQ(engine.live_chunks(), 2u);
+  // Txn 100 is younger than 1..kChunk-1 and older than 200 and 201: it
+  // wounds exactly those two, then queues behind the old ones.
+  engine.Acquire(2, Slot(LockMode::kExclusive, 100), 1);
+  ASSERT_EQ(sink.aborts.size(), 2u);
+  EXPECT_EQ(sink.aborts[0].slot.txn_id, 200u);
+  EXPECT_EQ(sink.aborts[1].slot.txn_id, 201u);
+  EXPECT_EQ(sink.aborts[0].reason, AbortReason::kWound);
+  ASSERT_EQ(engine.QueueDepth(2), kChunk);
+  std::vector<TxnId> order;
+  for (TxnId t = 1; t < kChunk; ++t) order.push_back(t);
+  order.push_back(100);
+  for (const TxnId t : order) {
+    ASSERT_EQ(engine.Release(2, LockMode::kExclusive, t, false, 2),
+              ReleaseOutcome::kApplied);
+  }
+  ASSERT_EQ(sink.grants.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(sink.grants[i].slot.txn_id, order[i]);
+  }
+  EXPECT_EQ(engine.live_chunks(), 0u);
+}
+
+TEST(LockEngineTest, PausedBufferSpansTwoChunks) {
+  CapturingSink sink;
+  LockEngine engine(sink);
+  engine.SetPaused(6, true);
+  for (TxnId t = 1; t <= kChunk + 1; ++t) {
+    engine.Acquire(6, Slot(LockMode::kExclusive, t), t);
+  }
+  EXPECT_EQ(engine.live_chunks(), 2u);
+  // Remove the entry in the first chunk's last slot: the second chunk's
+  // entry moves up behind it.
+  EXPECT_EQ(engine.RemoveTxn(6, kChunk, 50, /*notify=*/false).removed, 1u);
+  EXPECT_TRUE(sink.grants.empty());
+  const std::deque<QueueSlot> buffered = engine.TakePausedBuffer(6);
+  ASSERT_EQ(buffered.size(), kChunk);
+  for (std::size_t i = 0; i + 1 < buffered.size(); ++i) {
+    EXPECT_EQ(buffered[i].txn_id, i + 1);
+  }
+  EXPECT_EQ(buffered.back().txn_id, kChunk + 1);
+  EXPECT_EQ(engine.live_chunks(), 0u);
+}
+
+TEST(LockEngineTest, ColdLocksReturnEveryChunk) {
+  // Each lock acquired and released once: the states stay (the engine
+  // keeps a lock's counters until it is dropped), the chunks do not.
+  CapturingSink sink;
+  LockEngine engine(sink);
+  constexpr LockId kLocks = 10000;
+  for (LockId l = 0; l < kLocks; ++l) {
+    engine.Acquire(l, Slot(LockMode::kExclusive, l + 1), 0);
+    ASSERT_EQ(engine.Release(l, LockMode::kExclusive, l + 1, false, 1),
+              ReleaseOutcome::kApplied);
+  }
+  EXPECT_EQ(sink.grants.size(), kLocks);
+  EXPECT_EQ(engine.num_owned(), kLocks);
+  EXPECT_EQ(engine.TotalQueueDepth(), 0u);
+  EXPECT_EQ(engine.live_chunks(), 0u);
+}
+
 // Differential test: the flat-table engine must be observationally
 // identical to a straightforward map-of-deques reference model of
 // Algorithm 2 — same grant stream, same release outcomes, same depths,
 // same harvested demand counters — over a randomized workload that mixes
 // valid releases, stale/mismatched releases, and queue depths well past
-// the inline capacity.
+// one slab chunk.
 class ReferenceEngine {
  public:
   struct RefLock {

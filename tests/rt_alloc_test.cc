@@ -2,9 +2,10 @@
 // rt twin of event_alloc_test: after a warmup that grows the flat lock
 // table, the slab pool, and the staging buffers to working size, a
 // submit -> drain -> grant -> poll -> release loop must perform ZERO global
-// operator new/delete calls as long as per-lock queue depth stays within
-// the wait queue's inline capacity (4). This is the acceptance gate for the
-// flat-table LockEngine and the staged-completion service path.
+// operator new/delete calls, at any per-lock queue depth the warmup
+// reached (wait queues are slab-chunk chains; freed chunks are reused).
+// This is the acceptance gate for the flat-table LockEngine and the
+// staged-completion service path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -64,14 +65,14 @@ struct CountingSink final : public GrantSink {
   std::uint64_t grants = 0;
 };
 
-// The engine alone: acquire/release with queue depth up to the inline
-// capacity (4) across a fixed lock set must never leave the inline slots —
-// no slab chunks, no table growth, no heap.
+// The engine alone: acquire/release with queue depth up to 4 across a
+// fixed lock set reuses the slab chunks earlier rounds freed — no slab
+// growth, no table growth, no heap.
 TEST(RtAllocTest, LockEngineSteadyStateDepthFourIsAllocationFree) {
   CountingSink sink;
   LockEngine engine(sink);
   constexpr LockId kLocks = 64;
-  constexpr int kDepth = 4;  // == WaitQueue inline capacity.
+  constexpr int kDepth = 4;
 
   TxnId next_txn = 1;
   SimTime now = 0;
@@ -104,6 +105,52 @@ TEST(RtAllocTest, LockEngineSteadyStateDepthFourIsAllocationFree) {
   EXPECT_EQ(news_after - news_before, 0u)
       << "depth-4 acquire/release loop allocated on the heap";
   EXPECT_EQ(sink.grants - grants_before, 500u * kLocks * kDepth);
+}
+
+// Deeper than one slab chunk on every lock at once: queue depth selects
+// no code path, so the chunk chains also come from the warmed slab.
+TEST(RtAllocTest, LockEngineSteadyStateDeepQueuesAreAllocationFree) {
+  CountingSink sink;
+  LockEngine engine(sink);
+  constexpr LockId kLocks = 64;
+  constexpr int kDepth = 2 * LockEngine::kChunkSlots + 3;
+
+  TxnId next_txn = 1;
+  SimTime now = 0;
+  const auto round = [&] {
+    const TxnId first = next_txn;
+    for (LockId lock = 1; lock <= kLocks; ++lock) {
+      for (int d = 0; d < kDepth; ++d) {
+        QueueSlot slot;
+        slot.mode = d % 3 == 1 ? LockMode::kShared : LockMode::kExclusive;
+        slot.txn_id = next_txn++;
+        engine.Acquire(lock, slot, ++now);
+      }
+    }
+    for (LockId lock = 1; lock <= kLocks; ++lock) {
+      for (int d = 0; d < kDepth; ++d) {
+        const TxnId txn = first + (lock - 1) * kDepth + d;
+        const LockMode mode =
+            d % 3 == 1 ? LockMode::kShared : LockMode::kExclusive;
+        EXPECT_EQ(engine.Release(lock, mode, txn, /*lease_forced=*/false,
+                                 ++now),
+                  ReleaseOutcome::kApplied);
+      }
+    }
+  };
+
+  for (int r = 0; r < 4; ++r) round();
+  EXPECT_EQ(engine.live_chunks(), 0u);
+
+  const std::uint64_t grants_before = sink.grants;
+  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  for (int r = 0; r < 200; ++r) round();
+  const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(news_after - news_before, 0u)
+      << "deep-queue acquire/release loop allocated on the heap";
+  EXPECT_EQ(sink.grants - grants_before, 200u * kLocks * kDepth);
+  EXPECT_EQ(engine.live_chunks(), 0u);
 }
 
 // The whole service hot path — SubmitBatch into the mailbox ring, worker

@@ -206,6 +206,56 @@ TEST_F(ServerTest, PauseBuffersThenForwardsToSwitch) {
   EXPECT_TRUE(saw);
 }
 
+TEST_F(ServerTest, AcquireForwardedBeforeHandoffGoesBackToSwitch) {
+  // The server hands lock 1 to the switch (MoveLockToSwitch's commit). An
+  // acquire the switch forwarded as server-owned just before that arrives
+  // afterwards: granting it here would run a second queue beside the
+  // switch's, so it is re-sent to the switch and no state is recreated.
+  Send(MakeAcquire(1, LockMode::kExclusive, 1, client_->node()));
+  Send(MakeRelease(1, LockMode::kExclusive, 1, client_->node()));
+  server_->DropOwnership(1);
+  Send(MakeAcquire(1, LockMode::kExclusive, 2, client_->node()));
+  EXPECT_FALSE(client_->HasGrantFor(2));
+  EXPECT_TRUE(server_->OwnedLocks().empty());
+  EXPECT_EQ(server_->stats().rerouted, 1u);
+  ASSERT_EQ(switch_->received().size(), 1u);
+  const LockHeader& resent = switch_->received()[0];
+  EXPECT_EQ(resent.op, LockOp::kAcquire);
+  EXPECT_EQ(resent.txn_id, 2u);
+  EXPECT_EQ(resent.client_node, client_->node());
+  EXPECT_EQ(resent.flags, kFlagRerouted);
+  // Buffer-only overflow for the switch-owned lock still lands in q2.
+  LockHeader overflow = MakeAcquire(1, LockMode::kExclusive, 3,
+                                    client_->node());
+  overflow.flags = kFlagBufferOnly;
+  SendRaw(overflow);
+  EXPECT_EQ(server_->OverflowDepth(1), 1u);
+  EXPECT_FALSE(client_->HasGrantFor(3));
+}
+
+TEST_F(ServerTest, RerouteReturningFromSwitchIsServed) {
+  // The switch forwarded the re-sent acquire back as server-owned: it no
+  // longer owns the lock, so the handoff mark is stale and the server
+  // serves the lock from then on.
+  server_->EvictOwnership(1);
+  LockHeader back = MakeAcquire(1, LockMode::kExclusive, 4, client_->node());
+  back.flags = kFlagRerouted | kFlagServerOwned;
+  SendRaw(back);
+  EXPECT_TRUE(client_->HasGrantFor(4));
+  Send(MakeAcquire(1, LockMode::kExclusive, 5, client_->node()));
+  Send(MakeRelease(1, LockMode::kExclusive, 4, client_->node()));
+  EXPECT_TRUE(client_->HasGrantFor(5));
+  EXPECT_EQ(server_->stats().rerouted, 0u);
+}
+
+TEST_F(ServerTest, TakeOwnershipEndsTheHandoff) {
+  server_->EvictOwnership(1);
+  server_->TakeOwnership(1);
+  Send(MakeAcquire(1, LockMode::kExclusive, 6, client_->node()));
+  EXPECT_TRUE(client_->HasGrantFor(6));
+  EXPECT_EQ(server_->stats().rerouted, 0u);
+}
+
 TEST_F(ServerTest, LeaseClearsExpiredHolder) {
   Send(MakeAcquire(1, LockMode::kExclusive, 1, client_->node()));
   Send(MakeAcquire(1, LockMode::kExclusive, 2, client_->node()));
